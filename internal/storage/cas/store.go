@@ -36,7 +36,8 @@ type Options struct {
 	MaxChunkSize int
 	// Workers is the striped-writer fan-out: the put stage of the persist
 	// pipeline runs this many goroutines so a bandwidth-limited backend
-	// is driven in parallel (default 4).
+	// is driven in parallel (default 4). The GC sweep's deletes fan out
+	// to the same width.
 	Workers int
 	// HashWorkers is the chunk-hashing fan-out of the persist pipeline
 	// (default GOMAXPROCS, capped at 8). Hashing, dedup filtering, and
@@ -356,32 +357,85 @@ func (s *Store) Refresh() error {
 }
 
 // loadManifests reads and decodes every manifest in the backend, sorted
-// by (round, writer).
+// by (round, writer). The manifest fetches fan out across
+// DefaultReadWorkers; on failure it reports the error a sequential
+// scan would have hit first.
 func loadManifests(backend storage.PersistStore) ([]*Manifest, error) {
 	keys, err := backend.Keys(manifestPrefix)
 	if err != nil {
 		return nil, fmt.Errorf("cas: scan manifests: %w", err)
 	}
-	var out []*Manifest
-	for _, k := range keys {
+	out := make([]*Manifest, len(keys))
+	err = forEach(len(keys), DefaultReadWorkers, func(i int) error {
+		k := keys[i]
 		round, writer, ok := parseManifestKey(k)
 		if !ok {
-			return nil, fmt.Errorf("cas: foreign key %q under manifest prefix", k)
+			return fmt.Errorf("cas: foreign key %q under manifest prefix", k)
 		}
 		blob, err := backend.Get(k)
 		if err != nil {
-			return nil, fmt.Errorf("cas: read manifest %s: %w", k, err)
+			return fmt.Errorf("cas: read manifest %s: %w", k, err)
 		}
 		m, err := DecodeManifest(blob)
 		if err != nil {
-			return nil, fmt.Errorf("cas: manifest %s: %w", k, err)
+			return fmt.Errorf("cas: manifest %s: %w", k, err)
 		}
 		if m.Round != round || m.Writer != writer {
-			return nil, fmt.Errorf("cas: manifest %s claims round %d writer %q", k, m.Round, m.Writer)
+			return fmt.Errorf("cas: manifest %s claims round %d writer %q", k, m.Round, m.Writer)
 		}
-		out = append(out, m)
+		out[i] = m
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// forEach runs fn for every index in [0, n) on up to workers
+// goroutines, handing indices out in ascending order. After the first
+// failure no new index starts; calls already running finish. It returns
+// the error of the lowest failing index — every lower index was started
+// before it and has completed, so that is the error a sequential loop
+// would have returned.
+func forEach(n, workers int, fn func(i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Writer returns the id stamped on manifests this store writes.
@@ -1011,9 +1065,11 @@ func (g GCStats) Removed() int {
 // empty — they anchor the latest complete round). It then recomputes
 // chunk reference counts over the surviving manifests — rescanning the
 // backend, so references from writers this store never saw are honored —
-// and sweeps every chunk whose count reached zero. Writers must be
-// quiesced while Retain runs (stores configured with a Guard enforce
-// this themselves by write-locking it).
+// and sweeps every chunk whose count reached zero, Options.Workers
+// deletes at a time. On a failed delete the sweep stops issuing new
+// ones and returns the error with the stats of what it did remove.
+// Writers must be quiesced while Retain runs (stores configured with a
+// Guard enforce this themselves by write-locking it).
 func (s *Store) Retain(live func(round int, module string) bool, keepRound int) (GCStats, error) {
 	return s.RetainScoped(
 		func(round int, _, module string) bool { return live == nil || live(round, module) },
@@ -1085,9 +1141,16 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 		return st, err
 	}
 	surviving := make(map[int][]*Manifest)
+	// sizes records every chunk size the loaded manifests state, dropped
+	// entries included, so the sweep can account BytesFreed without
+	// downloading the chunks it deletes.
+	sizes := make(map[Hash]uint32)
 	for _, m := range manifests {
 		kept := make([]ModuleEntry, 0, len(m.Modules))
 		for _, e := range m.Modules {
+			for _, c := range e.Chunks {
+				sizes[c.Hash] = c.Size
+			}
 			if live == nil || live(m.Round, m.Writer, e.Module) {
 				kept = append(kept, e)
 			}
@@ -1146,6 +1209,11 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 	if s.opts.Shared == nil {
 		present = newPresenceIndex()
 	}
+	type deadChunk struct {
+		key  string
+		hash Hash
+	}
+	var dead []deadChunk
 	for _, k := range chunkKeys {
 		h, err := ParseHash(strings.TrimPrefix(k, chunkPrefix))
 		if err != nil {
@@ -1157,9 +1225,20 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 			}
 			continue
 		}
-		blob, err := s.backend.Get(k)
-		if err == nil {
-			st.BytesFreed += int64(len(blob))
+		dead = append(dead, deadChunk{key: k, hash: h})
+	}
+	// The sweep fans out across the put workers: each delete is an
+	// independent backend round trip.
+	var deleted, freed atomic.Int64
+	err = forEach(len(dead), s.opts.Workers, func(i int) error {
+		c := dead[i]
+		size, known := sizes[c.hash]
+		if !known {
+			// An orphan no manifest ever referenced (a crashed writer's
+			// leftover): its size is unknown without reading it.
+			if blob, err := s.backend.Get(c.key); err == nil {
+				size = uint32(len(blob))
+			}
 		}
 		// Drop the chunk from the dedup index BEFORE deleting it from the
 		// backend: if this Retain errors out mid-sweep, an overclaiming
@@ -1169,11 +1248,18 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 		// redundant idempotent write. The unchanged-module memo needs no
 		// such step: its refs are revalidated against the presence index
 		// at every use.
-		s.present.Remove(h)
-		if err := s.backend.Delete(k); err != nil {
-			return st, fmt.Errorf("cas: sweep chunk %s: %w", h, err)
+		s.present.Remove(c.hash)
+		if err := s.backend.Delete(c.key); err != nil {
+			return fmt.Errorf("cas: sweep chunk %s: %w", c.hash, err)
 		}
-		st.ChunksDeleted++
+		deleted.Add(1)
+		freed.Add(int64(size))
+		return nil
+	})
+	st.ChunksDeleted = int(deleted.Load())
+	st.BytesFreed = freed.Load()
+	if err != nil {
+		return st, err
 	}
 
 	if present != nil {

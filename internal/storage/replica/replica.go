@@ -1,9 +1,10 @@
-// Package replica provides a replicating PersistStore: writes fan out to
-// every backend, reads are served by the first healthy replica, and an
-// anti-entropy Sync repairs backends that missed writes while down. It is
-// the multi-backend durability layer under the checkpoint store — losing
-// a persist backend (a filesystem outage, an object-store region) no
-// longer loses checkpoints as long as one replica survives.
+// Package replica provides a replicating PersistStore: writes and
+// deletes fan out to every backend concurrently, reads are served by
+// the first healthy replica, and an anti-entropy Sync repairs backends
+// that missed writes while down. It is the multi-backend durability
+// layer under the checkpoint store — losing a persist backend (a
+// filesystem outage, an object-store region) no longer loses
+// checkpoints as long as one replica survives.
 //
 // The store tracks a per-backend EWMA of operation latency. With slow
 // routing enabled (Options.SlowFactor), reads are routed around a
@@ -275,47 +276,48 @@ func (r *Store) readOrder() []int {
 	return append(fast, slow...)
 }
 
-// Put writes to every backend. It succeeds when at least one replica
-// accepted the write — a down replica degrades durability, not
-// availability — and fails only when every backend refused.
-func (r *Store) Put(key string, data []byte) error {
-	var okCount int
-	var errs []string
+// fanOut runs op against every backend concurrently through access and
+// waits for all of them, recording each outcome in Health. A write is
+// only as slow as its slowest replica, not the sum of them. It succeeds
+// when at least one backend did; otherwise the error lists every
+// backend's failure in index order.
+func (r *Store) fanOut(verb, key string, op func(storage.PersistStore) error) error {
+	errs := make([]error, len(r.backends))
+	var wg sync.WaitGroup
 	for i := range r.backends {
-		err := r.access(i, func(b storage.PersistStore) error { return b.Put(key, data) })
-		r.note(i, err)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			err := r.access(i, op)
+			r.note(i, err)
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	var msgs []string
+	for i, err := range errs {
 		if err == nil {
-			okCount++
-		} else {
-			errs = append(errs, fmt.Sprintf("backend %d: %v", i, err))
+			return nil
 		}
+		msgs = append(msgs, fmt.Sprintf("backend %d: %v", i, err))
 	}
-	if okCount == 0 {
-		return fmt.Errorf("replica: put %s failed on all backends: %s", key, strings.Join(errs, "; "))
-	}
-	return nil
+	return fmt.Errorf("replica: %s %s failed on all backends: %s", verb, key, strings.Join(msgs, "; "))
+}
+
+// Put writes to every backend concurrently. It succeeds when at least
+// one replica accepted the write — a down replica degrades durability,
+// not availability — and fails only when every backend refused.
+func (r *Store) Put(key string, data []byte) error {
+	return r.fanOut("put", key, func(b storage.PersistStore) error { return b.Put(key, data) })
 }
 
 // PutOwned implements storage.OwnedPutter with Put's replication
 // semantics. Each backend is written through PutNoRetain, so the
 // caller's buffer is never retained regardless of what the individual
-// replicas do with theirs.
+// replicas do with theirs — which is also what lets the replicas read
+// it concurrently.
 func (r *Store) PutOwned(key string, data []byte) error {
-	var okCount int
-	var errs []string
-	for i := range r.backends {
-		err := r.access(i, func(b storage.PersistStore) error { return storage.PutNoRetain(b, key, data) })
-		r.note(i, err)
-		if err == nil {
-			okCount++
-		} else {
-			errs = append(errs, fmt.Sprintf("backend %d: %v", i, err))
-		}
-	}
-	if okCount == 0 {
-		return fmt.Errorf("replica: put %s failed on all backends: %s", key, strings.Join(errs, "; "))
-	}
-	return nil
+	return r.fanOut("put", key, func(b storage.PersistStore) error { return storage.PutNoRetain(b, key, data) })
 }
 
 // Get reads from the first healthy replica holding the key, in read
@@ -448,28 +450,16 @@ func (r *Store) Probe() []error {
 	return r.Health()
 }
 
-// Delete removes the key from every backend. Replicas that are down keep
-// their stale copy until Sync or a later Delete; the call fails only when
-// every backend failed with a real error.
+// Delete removes the key from every backend concurrently. Replicas that
+// are down keep their stale copy until Sync or a later Delete; the call
+// fails only when every backend failed with a real error.
 func (r *Store) Delete(key string) error {
-	var okCount int
-	var errs []string
-	for i := range r.backends {
-		err := r.access(i, func(b storage.PersistStore) error { return b.Delete(key) })
-		if err != nil && errors.Is(err, storage.ErrNotFound) {
-			err = nil
+	return r.fanOut("delete", key, func(b storage.PersistStore) error {
+		if err := b.Delete(key); !errors.Is(err, storage.ErrNotFound) {
+			return err
 		}
-		r.note(i, err)
-		if err == nil {
-			okCount++
-		} else {
-			errs = append(errs, fmt.Sprintf("backend %d: %v", i, err))
-		}
-	}
-	if okCount == 0 {
-		return fmt.Errorf("replica: delete %s failed on all backends: %s", key, strings.Join(errs, "; "))
-	}
-	return nil
+		return nil // the replica never got the key: already deleted
+	})
 }
 
 // Keys returns the union of keys across responding backends, sorted. It

@@ -269,6 +269,106 @@ func TestFSStorePutConcurrentSameKey(t *testing.T) {
 	}
 }
 
+func TestFSStoreKeysConcurrentPutDelete(t *testing.T) {
+	// Regression: Keys aborted the whole scan when a file it had just
+	// read from the directory was gone by the time it was examined — a
+	// Put's temp file renamed into place, or a key deleted by a
+	// concurrent GC sweep. A listing must tolerate a churning directory:
+	// stable keys always appear, temp files and foreign prefixes never.
+	f, err := NewFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"d/stable", "other/x"} {
+		if err := f.Put(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			payload := make([]byte, 1024)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := fmt.Sprintf("d/churn-%d-%d", w, i%8)
+				if err := f.Put(k, payload); err != nil {
+					errs <- err
+					return
+				}
+				if err := f.Delete(k); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 300; i++ {
+		prefix := []string{"d/", "", "d/st"}[i%3]
+		keys, err := f.Keys(prefix)
+		if err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("Keys(%q) during churn: %v", prefix, err)
+		}
+		stable := false
+		for _, k := range keys {
+			if strings.HasSuffix(k, ".tmp") || !strings.HasPrefix(k, prefix) {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("Keys(%q) surfaced %q", prefix, k)
+			}
+			stable = stable || k == "d/stable"
+		}
+		if !stable {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("Keys(%q) lost the stable key: %v", prefix, keys)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+func TestFSStoreKeysScopedToPrefixDir(t *testing.T) {
+	f, err := NewFSStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"cas/chunks/aa", "cas/chunks/ab", "cas/manifests/000001", "top"} {
+		if err := f.Put(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for prefix, want := range map[string][]string{
+		"cas/chunks/a":   {"cas/chunks/aa", "cas/chunks/ab"},
+		"cas/manifests/": {"cas/manifests/000001"},
+		"cas/":           {"cas/chunks/aa", "cas/chunks/ab", "cas/manifests/000001"},
+		"t":              {"top"},
+		"top/":           nil,
+		"missing/dir/":   nil,
+	} {
+		got, err := f.Keys(prefix)
+		if err != nil {
+			t.Fatalf("Keys(%q): %v", prefix, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Keys(%q) = %v, want %v", prefix, got, want)
+		}
+	}
+}
+
 func TestCodecNaNAndSpecialValues(t *testing.T) {
 	nan := math.Float32frombits(0x7fc00001) // quiet NaN with payload
 	in := map[string][]float32{

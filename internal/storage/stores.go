@@ -380,12 +380,28 @@ func (f *FSStore) Delete(key string) error {
 	return err
 }
 
-// Keys implements PersistStore.
+// Keys implements PersistStore. It walks only the directory holding the
+// prefix, so listing one key family (manifests) never visits another
+// (chunks). Entries that vanish mid-walk — a Put's temp file renamed
+// into place, a key a concurrent Delete removed — are skipped rather
+// than failing the scan: a listing is a snapshot of a live directory.
 func (f *FSStore) Keys(prefix string) ([]string, error) {
+	start := f.root
+	if i := strings.LastIndex(prefix, "/"); i > 0 {
+		if p, err := f.path(prefix[:i]); err == nil {
+			start = p
+		}
+	}
 	var out []string
-	err := filepath.Walk(f.root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || strings.HasSuffix(path, ".tmp") {
+	err := filepath.WalkDir(start, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			if os.IsNotExist(err) {
+				return nil
+			}
 			return err
+		}
+		if d.IsDir() || strings.HasSuffix(path, ".tmp") {
+			return nil
 		}
 		rel, err := filepath.Rel(f.root, path)
 		if err != nil {
