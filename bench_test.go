@@ -770,7 +770,7 @@ func BenchmarkRemotePersist(b *testing.B) {
 }
 
 func BenchmarkCachedRecovery(b *testing.B) {
-	// Recovery latency with the LRU chunk cache between the CAS store
+	// Recovery latency with the SIEVE chunk cache between the CAS store
 	// and the remote backend. cold: the cache is dropped before every
 	// recovery (a replacement node), so each one pays remote gets.
 	// warm: the write-through cache still holds every hot chunk, so

@@ -53,7 +53,7 @@
 // fixed-size stores show one spike at the chunk size (plus blob tails),
 // CDC stores a spread between the min/max bounds. stats replays a full
 // recovery twice through the simulated storage stack — the directory
-// behind an object-store cost model behind an LRU chunk cache — and
+// behind an object-store cost model behind a SIEVE chunk cache — and
 // prints the dedup ratio, the cold/warm cache hit rates, and the remote
 // op/byte/retry counters the replay cost. -cache-mb, -latency-ms,
 // -upload-mbps and -download-mbps shape the stack. stats finishes with
@@ -100,7 +100,7 @@ func main() {
 	dir := flag.String("dir", "", "checkpoint directory (FSStore root)")
 	shardCount := flag.Int("shards", 0, "open <dir>/shard-000..shard-NNN as one consistent-hash sharded store (0 = unsharded)")
 	writer := flag.String("writer", "", "list/inspect/stats: restrict to one writer's manifests")
-	cacheMB := flag.Int("cache-mb", 64, "stats: LRU chunk-cache capacity in MiB; restore: shared L2 capacity")
+	cacheMB := flag.Int("cache-mb", 64, "stats: chunk-cache capacity in MiB; restore: shared L2 capacity")
 	latencyMS := flag.Float64("latency-ms", 20, "stats/restore: remote per-request latency in ms")
 	uploadMBps := flag.Float64("upload-mbps", 256, "stats/restore: remote upload bandwidth in MiB/s")
 	downloadMBps := flag.Float64("download-mbps", 512, "stats/restore: remote download bandwidth in MiB/s")
@@ -650,7 +650,7 @@ func printDedupLine(logical, physical int64) {
 
 // stats replays every committed module through the simulated storage
 // stack — the directory as an object store with a cost model, fronted by
-// an LRU chunk cache — and prints dedup, cache, and remote counters.
+// a SIEVE chunk cache — and prints dedup, cache, and remote counters.
 // The first pass is the cold-cache recovery; the second replays it warm.
 // A non-empty writerFilter restricts the accounting and the replay to
 // one writer's manifests.

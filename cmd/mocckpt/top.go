@@ -13,7 +13,7 @@ package main
 //
 // top enables the unified metrics layer (internal/obs), rebuilds the
 // stats storage stack — the directory behind the object-store cost
-// model behind the LRU chunk cache — and replays reads through it so
+// model behind the SIEVE chunk cache — and replays reads through it so
 // every tier's gauges have something to report. One-shot mode prints
 // the full name-sorted registry snapshot; -watch samples the registry
 // -ticks times, printing the delta rate of every counter-like metric

@@ -20,7 +20,7 @@
 //
 // Beyond the paper, the storage stack scales the checkpoint store to
 // production shapes: content-addressed dedup with fixed or
-// content-defined chunking, an LRU chunk cache, N-way replication with
+// content-defined chunking, a SIEVE chunk cache, N-way replication with
 // read repair, a simulated object-store backend (remotestore.go), and a
 // multi-job fleet service (fleet.go) that serves many training jobs —
 // a base model and its fine-tune forks — from one shared chunk store

@@ -1,5 +1,5 @@
 // Remote-recovery tour: checkpoint through the full storage stack —
-// content-addressed chunks, write-through an LRU cache, into a
+// content-addressed chunks, write-through a SIEVE cache, into a
 // simulated object store with per-request latency, bandwidth limits,
 // multipart uploads, and injected transient failures — then compare
 // what recovery costs with the cache warm (a surviving node) versus

@@ -1,4 +1,4 @@
-// Package cache is a size-bounded LRU chunk cache layered between the
+// Package cache is a size-bounded chunk cache layered between the
 // content-addressed store and any PersistStore backend. Reads are
 // served from memory when hot (read-through on miss); writes go to the
 // backend first and then populate the cache (write-through), so the
@@ -8,6 +8,16 @@
 //
 // Chunk keys are content-addressed upstream, so cached values never go
 // stale — the only invalidation paths are Delete and capacity eviction.
+//
+// Eviction is SIEVE (Zhang et al., NSDI '24, "SIEVE is Simpler than
+// LRU"). Entries sit in insertion order, newest at the head; a hit only
+// sets the entry's visited bit and never moves it. To make room, a hand
+// walks from the tail toward the head, clearing visited bits, and evicts
+// the first entry whose bit is already clear. A chunk read twice
+// therefore outlives a one-pass scan of new chunks, where LRU would let
+// the scan flush it: a restore reads more chunks than an L1 holds, and
+// under LRU each restore evicted what the next restore of a hot job
+// needed.
 package cache
 
 import (
@@ -50,8 +60,9 @@ func (s Stats) HitRatio() float64 {
 }
 
 type entry struct {
-	key  string
-	data []byte
+	key     string
+	data    []byte
+	visited bool // set by a hit, cleared by the passing eviction hand
 }
 
 // Store is the caching PersistStore. It is safe for concurrent use.
@@ -60,7 +71,8 @@ type Store struct {
 	capacity int64
 
 	mu    sync.Mutex
-	ll    *list.List // front = most recently used
+	ll    *list.List    // insertion order, front = newest
+	hand  *list.Element // next eviction candidate; nil = start at the back
 	index map[string]*list.Element
 	bytes int64
 	stats Stats
@@ -71,23 +83,13 @@ type Store struct {
 	// rare (the GC sweep), so skipping the occasional unrelated fill is
 	// the cheap conservative side.
 	delGen uint64
-	// flights tracks the in-flight backend fetch per missing key, so
-	// concurrent misses of one key coalesce into a single inner Get
-	// (singleflight) instead of a thundering herd of identical fetches.
-	flights map[string]*flight
+	// flights coalesces concurrent misses of one key into a single inner
+	// Get instead of a thundering herd of identical fetches. Its
+	// coalesced count is the Coalesced stat.
+	flights storage.Group[[]byte]
 }
 
-// flight is one in-flight backend fetch that concurrent misses of the
-// same key attach to. Once done is closed, data and err are immutable:
-// view readers may hand data out directly, Get readers copy from it.
-type flight struct {
-	done    chan struct{}
-	waiters int
-	data    []byte
-	err     error
-}
-
-// New wraps a backend with an LRU cache bounded at capacityBytes.
+// New wraps a backend with a SIEVE cache bounded at capacityBytes.
 func New(inner storage.PersistStore, capacityBytes int64) (*Store, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("cache: nil backend")
@@ -100,7 +102,6 @@ func New(inner storage.PersistStore, capacityBytes int64) (*Store, error) {
 		capacity: capacityBytes,
 		ll:       list.New(),
 		index:    make(map[string]*list.Element),
-		flights:  make(map[string]*flight),
 	}
 	if obs.Enabled() {
 		c.registerObs()
@@ -113,46 +114,95 @@ func (c *Store) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
+	// A coalesced miss is counted when it attaches to a flight (see read).
+	st.Coalesced = c.flights.Coalesced()
+	st.Misses += st.Coalesced
 	st.Entries = len(c.index)
 	st.Bytes = c.bytes
 	st.Capacity = c.capacity
 	return st
 }
 
-// insert admits a value (copying it), evicting from the LRU tail until
-// it fits. Values larger than the whole cache are not admitted — they
-// would evict everything for a single entry that can never be resident
-// alongside anything else.
-func (c *Store) insert(key string, data []byte) {
+// insert admits a copy of a value and returns that copy, or nil when
+// the value is not admitted. A new entry goes in at the head once
+// eviction has made room for it; an overwrite replaces the entry's
+// slice in place and marks it visited. Values larger than the whole
+// cache are not admitted — they would evict everything for a single
+// entry that can never be resident alongside anything else — and any
+// older value of the key is dropped, so a mutable key never serves
+// stale bytes.
+func (c *Store) insert(key string, data []byte) []byte {
+	el, ok := c.index[key]
 	if int64(len(data)) > c.capacity {
-		return
+		if ok {
+			c.removeElement(el)
+		}
+		return nil
 	}
-	if el, ok := c.index[key]; ok {
+	cp := append([]byte(nil), data...)
+	if ok {
 		e := el.Value.(*entry)
-		c.bytes += int64(len(data)) - int64(len(e.data))
-		e.data = append([]byte(nil), data...)
-		c.ll.MoveToFront(el)
+		c.bytes += int64(len(cp)) - int64(len(e.data))
+		e.data = cp
+		e.visited = true
 	} else {
-		e := &entry{key: key, data: append([]byte(nil), data...)}
-		c.index[key] = c.ll.PushFront(e)
-		c.bytes += int64(len(data))
+		for c.bytes+int64(len(cp)) > c.capacity {
+			c.evict()
+		}
+		c.index[key] = c.ll.PushFront(&entry{key: key, data: cp})
+		c.bytes += int64(len(cp))
 		c.stats.Insertions++
 	}
 	for c.bytes > c.capacity {
-		tail := c.ll.Back()
-		if tail == nil {
-			break
-		}
-		c.removeElement(tail)
-		c.stats.Evictions++
+		c.evict()
 	}
+	return cp
 }
 
+// evict removes one entry: the hand walks from its position toward the
+// head (wrapping to the tail), clearing visited bits, and evicts the
+// first entry whose bit was already clear. The caller guarantees the
+// cache is not empty.
+func (c *Store) evict() {
+	el := c.hand
+	if el == nil {
+		el = c.ll.Back()
+	}
+	for e := el.Value.(*entry); e.visited; e = el.Value.(*entry) {
+		e.visited = false
+		if el = el.Prev(); el == nil {
+			el = c.ll.Back()
+		}
+	}
+	c.hand = el // removeElement steps it on toward the head
+	c.removeElement(el)
+	c.stats.Evictions++
+}
+
+// removeElement unlinks an entry, first stepping the hand past it so
+// the hand never points at a removed element.
 func (c *Store) removeElement(el *list.Element) {
+	if c.hand == el {
+		c.hand = el.Prev()
+	}
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
 	delete(c.index, e.key)
 	c.bytes -= int64(len(e.data))
+}
+
+// hit serves key from memory if resident, marking it visited and
+// counting the hit. The caller holds c.mu.
+func (c *Store) hit(key string) ([]byte, bool) {
+	el, ok := c.index[key]
+	if !ok {
+		return nil, false
+	}
+	e := el.Value.(*entry)
+	e.visited = true
+	c.stats.Hits++
+	c.stats.HitBytes += int64(len(e.data))
+	return e.data, true
 }
 
 // Put implements storage.PersistStore: write-through. The backend write
@@ -211,94 +261,81 @@ func (c *Store) Get(key string) ([]byte, error) {
 	return c.read(key, false)
 }
 
-// read is the shared Get/GetView path. Hits serve from memory. The
-// first miss of a key becomes the flight leader and fetches from the
-// backend; concurrent misses of the same key attach to that flight and
-// share its result (singleflight), so N readers of one cold chunk cost
-// one backend get. A flight's result slice is immutable once published:
-// view readers hand it out directly (the do-not-modify contract), Get
-// readers each take a private copy — except a leader with no waiters,
-// which owns the backend's slice outright.
+// read is the shared Get/GetView path. Hits serve from memory. Misses
+// go through the flight group: the first miss of a key becomes the
+// flight leader and fills it (see fill); concurrent misses of the same
+// key attach to that flight and share its result, so N readers of one
+// cold chunk cost one backend get. Cached and shared slices are
+// immutable once published (insert replaces e.data, never mutates it):
+// view readers hand them out directly (the do-not-modify contract), Get
+// readers each take a private copy, outside the lock, so concurrent
+// readers don't serialize behind each other's memcpy.
 func (c *Store) read(key string, view bool) ([]byte, error) {
 	c.mu.Lock()
-	if el, ok := c.index[key]; ok {
-		e := el.Value.(*entry)
-		c.ll.MoveToFront(el)
-		c.stats.Hits++
-		c.stats.HitBytes += int64(len(e.data))
-		// Cached slices are immutable once stored (insert replaces
-		// e.data, never mutates it), so the caller's copy can happen
-		// outside the lock — hits from concurrent readers don't
-		// serialize behind each other's memcpy.
-		data := e.data
-		c.mu.Unlock()
-		if view {
-			return data, nil
+	data, ok := c.hit(key)
+	c.mu.Unlock()
+	if !ok {
+		var own []byte
+		var err error
+		data, _, err = c.flights.Do(key, func() (shared []byte, err error) {
+			shared, own, err = c.fill(key)
+			return shared, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		return append([]byte(nil), data...), nil
+		if own != nil {
+			return own, nil
+		}
+	}
+	if view {
+		return data, nil
+	}
+	return append([]byte(nil), data...), nil
+}
+
+// fill is a flight leader's miss: fetch the key from the backend and
+// admit it. shared is what the flight hands its waiters: the cache's
+// own copy when the fill was admitted, else the backend's slice. own is
+// the backend's slice when no waiter can see it, so the leader returns
+// it without a copy; nil otherwise.
+func (c *Store) fill(key string) (shared, own []byte, err error) {
+	c.mu.Lock()
+	// A flight that finished between the caller's miss and this one may
+	// have filled the key already.
+	if cached, ok := c.hit(key); ok {
+		c.mu.Unlock()
+		return cached, nil, nil
 	}
 	c.stats.Misses++
-	if f := c.flights[key]; f != nil {
-		c.stats.Coalesced++
-		f.waiters++
-		c.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, f.err
-		}
-		if view {
-			return f.data, nil
-		}
-		return append([]byte(nil), f.data...), nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
 	gen := c.delGen
 	c.mu.Unlock()
 
 	data, err := c.inner.Get(key)
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	waited := f.waiters // final: no new waiter can attach once unmapped
-	if err == nil {
-		c.stats.MissBytes += int64(len(data))
-		if gen == c.delGen {
-			c.insert(key, data)
-		}
-	}
-	c.mu.Unlock()
-	// Publish to the waiters; the channel close is the memory barrier.
-	f.data, f.err = data, err
-	close(f.done)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if view || waited == 0 {
-		return data, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats.MissBytes += int64(len(data))
+	if gen != c.delGen {
+		return data, nil, nil
 	}
-	// Waiters share the flight's slice; a Get caller owns its result,
-	// so the leader copies exactly like its waiters do.
-	return append([]byte(nil), data...), nil
+	if cached := c.insert(key, data); cached != nil {
+		return cached, data, nil
+	}
+	return data, nil, nil
 }
 
 // GetCached returns the cached value as a view without consulting the
-// backend: a hit counts (and refreshes recency) exactly like GetView; a
-// miss counts nothing and reports false — the caller decides what a
-// miss means. The read tier uses this to tell an L2 promotion apart
-// from a cold backend fetch.
+// backend: a hit counts (and marks the entry visited) exactly like
+// GetView; a miss counts nothing and reports false — the caller decides
+// what a miss means. The read tier uses this to tell an L2 promotion
+// apart from a cold backend fetch.
 func (c *Store) GetCached(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.index[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	c.ll.MoveToFront(el)
-	c.stats.Hits++
-	c.stats.HitBytes += int64(len(e.data))
-	return e.data, true
+	return c.hit(key)
 }
 
 // Delete implements storage.PersistStore, dropping the cached copy
@@ -339,6 +376,7 @@ func (c *Store) Drop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
+	c.hand = nil
 	c.index = make(map[string]*list.Element)
 	c.bytes = 0
 	c.delGen++ // in-flight miss fills must not resurrect dropped entries

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,6 +123,26 @@ func TestOversizedValueBypassesCache(t *testing.T) {
 	}
 	if got, err := c.Get("big"); err != nil || len(got) != 100 {
 		t.Fatalf("oversized value unreadable: %v", err)
+	}
+}
+
+func TestOversizedOverwriteDropsStaleValue(t *testing.T) {
+	// A mutable key rewritten with a value too big to cache must not
+	// keep serving its previous, smaller cached value.
+	inner := storage.NewMemStore()
+	c := mustNew(t, inner, 10)
+	if err := c.Put("m", []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("B"), 20)
+	if err := c.Put("m", big); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get("m"); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("Get after oversized overwrite = %q, %v; want the 20-byte value", got, err)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stale entry still resident: %+v", st)
 	}
 }
 
@@ -456,6 +477,69 @@ func TestConcurrentMissesCoalesceIntoOneBackendGet(t *testing.T) {
 	}
 	if st.Insertions != 1 {
 		t.Fatalf("insertions = %d, want 1", st.Insertions)
+	}
+}
+
+// within receives one value from ch, failing the test rather than
+// hanging when none arrives.
+func within[T any](t *testing.T, ch <-chan T) T {
+	t.Helper()
+	var v T
+	got := false
+	simtime.Eventually(10*time.Second, time.Millisecond, func() bool {
+		select {
+		case v = <-ch:
+			got = true
+		default:
+		}
+		return got
+	})
+	if !got {
+		t.Fatal("no result in time")
+	}
+	return v
+}
+
+func TestLeaderPanicFailsCoalescedWaiter(t *testing.T) {
+	// The backend fetch panics once a second reader has attached to the
+	// flight: the waiter must get an error, not hang, and the leader
+	// must re-panic rather than swallow the failure.
+	inner := storage.NewMemStore()
+	if err := inner.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	var c *Store
+	entered := make(chan struct{})
+	var fetches atomic.Int64
+	c = mustNew(t, &hookStore{PersistStore: inner, onGet: func(string) {
+		if fetches.Add(1) > 1 {
+			return
+		}
+		close(entered)
+		simtime.Eventually(10*time.Second, time.Millisecond, func() bool { return c.Stats().Coalesced == 1 })
+		panic("backend exploded")
+	}}, 1<<20)
+
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Get("k")
+	}()
+	within(t, entered)
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := c.Get("k")
+		waiterErr <- err
+	}()
+	if err := within(t, waiterErr); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("waiter error = %v, want the leader's panic surfaced", err)
+	}
+	if p := within(t, panicked); p != "backend exploded" {
+		t.Fatalf("leader recovered %v, want its panic", p)
+	}
+	// The flight was completed: the next read fetches afresh.
+	if got, err := c.Get("k"); err != nil || string(got) != "v" {
+		t.Fatalf("read after panic = %q, %v", got, err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // codecMagic guards against decoding foreign blobs.
@@ -105,14 +106,30 @@ func DecodeTensors(blob []byte) (map[string][]float32, error) {
 			return nil, fmt.Errorf("storage: truncated tensor %q", key)
 		}
 		vals := make([]float32, vlen)
-		for j := range vals {
-			vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(body[pos:]))
-			pos += 4
-		}
+		decodeFloats(vals, body[pos:pos+4*int(vlen)])
+		pos += 4 * int(vlen)
 		out[key] = vals
 	}
 	if pos != len(body) {
 		return nil, fmt.Errorf("storage: %d trailing bytes", len(body)-pos)
 	}
 	return out, nil
+}
+
+// nativeLittleEndian reports whether this host lays float32s out in
+// memory exactly as the codec writes them.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeFloats fills dst from its little-endian encoding in src
+// (len(src) == 4*len(dst)). On little-endian hosts that is one memmove
+// into dst's own backing array, so dst never aliases src — which may be
+// an immutable cached view. Big-endian hosts convert element by element.
+func decodeFloats(dst []float32, src []byte) {
+	if nativeLittleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 4*len(dst)), src)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"moc/internal/obs"
+	"moc/internal/storage"
 	"moc/internal/storage/cas"
 )
 
@@ -25,7 +26,7 @@ import (
 // tensors, so it needs nothing extra.
 type Pool struct {
 	store *cas.Store
-	g     Group[map[string][]byte]
+	g     storage.Group[map[string][]byte]
 
 	restores  atomic.Int64
 	coalesced atomic.Int64

@@ -9,7 +9,7 @@
 // promotion, the chunk moves into the requesting node's L1 without
 // touching the backend — and only an L2 miss reaches the backend, where
 // concurrent fetches of one key coalesce into a single get at every
-// level (the caches' internal singleflight plus the tier's own for
+// level (one storage.Group inside each cache, plus the tier's own for
 // fetches below the admission threshold). Writes go through to the
 // backend first and warm both levels under the same admission policy.
 //
@@ -91,8 +91,8 @@ func ratio(hits, misses int64) float64 {
 type Tier struct {
 	backend storage.PersistStore
 	cfg     Config
-	l2      *cache.Store  // warm tier, read-through over the counted backend
-	direct  Group[[]byte] // coalesces below-threshold fetches that bypass L2
+	l2      *cache.Store          // warm tier, read-through over the counted backend
+	direct  storage.Group[[]byte] // coalesces below-threshold fetches that bypass L2
 
 	backendGets atomic.Int64
 	promotions  atomic.Int64

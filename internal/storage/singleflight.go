@@ -1,4 +1,4 @@
-package readserve
+package storage
 
 import (
 	"fmt"
@@ -11,8 +11,8 @@ import (
 // blocks until it completes, and receives the same result — value and
 // error alike. Values handed to waiters are the leader's value
 // verbatim, so reference types must be treated read-only by every
-// receiver or copied (the Tier copies chunk payloads; the Pool
-// documents its maps as shared read-only).
+// receiver or copied (the caches copy chunk payloads for Get callers;
+// readserve.Pool documents its maps as shared read-only).
 //
 // A leader whose fn panics still completes its flight — the waiters
 // receive an error instead of hanging on an abandoned channel — and
@@ -62,7 +62,7 @@ func (g *Group[V]) Do(key string, fn func() (V, error)) (V, bool, error) {
 		if !finished {
 			// fn panicked: fail the flight for the waiters before the
 			// panic propagates out of the leader.
-			c.err = fmt.Errorf("readserve: in-flight fetch for %q panicked", key)
+			c.err = fmt.Errorf("storage: in-flight fetch for %q panicked", key)
 		}
 		g.mu.Lock()
 		delete(g.flights, key)
@@ -87,4 +87,11 @@ func (g *Group[V]) PeakWaiters() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.peak
+}
+
+// InFlight returns how many flights are running now.
+func (g *Group[V]) InFlight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.flights)
 }

@@ -409,6 +409,33 @@ func TestCodecEmptyMap(t *testing.T) {
 	}
 }
 
+func TestCodecDecodeDoesNotAliasBlob(t *testing.T) {
+	// The blob may be an immutable cached view, so writes to decoded
+	// tensors must never reach it — on the bulk-copy path and on the
+	// per-element path big-endian hosts take.
+	blob := EncodeTensors(map[string][]float32{"a/w": {1.5, -2.25, 3}, "b/m": {0, 42}})
+	orig := append([]byte(nil), blob...)
+	defer func(v bool) { nativeLittleEndian = v }(nativeLittleEndian)
+	for _, bulk := range []bool{true, false} {
+		nativeLittleEndian = bulk
+		out, err := DecodeTensors(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out["b/m"]; len(got) != 2 || got[1] != 42 {
+			t.Fatalf("bulk=%v: b/m decoded as %v", bulk, got)
+		}
+		for _, vals := range out {
+			for i := range vals {
+				vals[i] = -1
+			}
+		}
+		if !reflect.DeepEqual(blob, orig) {
+			t.Fatalf("bulk=%v: writing decoded values changed the blob", bulk)
+		}
+	}
+}
+
 func TestCodecBitFlipSweep(t *testing.T) {
 	// Every single-byte corruption anywhere in the blob must be caught
 	// (CRC32 detects all single-bit and single-byte errors).

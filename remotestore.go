@@ -2,7 +2,7 @@ package moc
 
 // Public API for the remote-storage tier: the simulated object-store
 // persist backend (cost model, multipart puts, retry/backoff, per-op
-// metrics), the LRU chunk cache that hides it, and the calibration
+// metrics), the SIEVE chunk cache that hides it, and the calibration
 // bridge into the timing simulator. These compose with the rest of the
 // storage stack — e.g. NewCachedStore(NewRemoteStore(cfg), 64<<20) is a
 // remote backend whose hot chunks recover at memory speed.
@@ -168,7 +168,7 @@ func (s CacheStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// CachedStore layers a size-bounded LRU chunk cache over a backend:
+// CachedStore layers a size-bounded SIEVE chunk cache over a backend:
 // reads are served from memory when hot, writes go through to the
 // backend. Drop empties the cache (a node restart's cold-cache state)
 // without touching the backend.
@@ -191,7 +191,7 @@ func (c cacheAdapter) CacheStats() CacheStats {
 	}
 }
 
-// NewCachedStore wraps a backend with an LRU cache bounded at
+// NewCachedStore wraps a backend with a SIEVE cache bounded at
 // capacityBytes. Between the checkpoint store and a remote backend it
 // is the snapshot tier: recovery of hot chunks performs zero remote
 // reads.

@@ -181,7 +181,7 @@ func TestRecoverBitIdenticalAfterReplicaBackendLoss(t *testing.T) {
 
 func TestRemoteCachedPersistAndRecoveryEndToEnd(t *testing.T) {
 	// The full storage stack under the checkpoint pipeline: CAS chunks
-	// flow write-through an LRU cache into a simulated object store with
+	// flow write-through a SIEVE cache into a simulated object store with
 	// latency, bandwidth, multipart, and injected transient failures.
 	// Persist must pay remote puts (with retries); a node-loss recovery
 	// with the cache warm must pay ZERO remote gets; losing the cache
