@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"moc/internal/storage"
@@ -339,10 +338,11 @@ type RecoveredModule struct {
 // in-memory snapshot is at least as fresh as the persisted copy, the
 // snapshot is used (two-level recovery, §5.1); otherwise the module's
 // newest persisted version no newer than the latest complete round is
-// read back from storage. Storage reads fan out across a bounded worker
-// pool sized to the store's read concurrency — each worker's chunk
-// fetches are verified inside the store — so cold recovery overlaps
-// backend latency at both module and chunk granularity.
+// read back from storage. All storage reads go to the store as one
+// plan (cas.Store.ReadModulesAt), whose chunk fetches — each verified
+// inside the store — fan out flat across the store's read budget, so
+// cold recovery overlaps backend latency however the state splits into
+// modules.
 func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]RecoveredModule, error) {
 	a.mu.Lock()
 	latest := -1
@@ -360,11 +360,7 @@ func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]R
 	a.mu.Unlock()
 
 	out := make(map[string]RecoveredModule, len(modules))
-	type storeRead struct {
-		module string
-		round  int
-	}
-	var reads []storeRead
+	reads := make(map[string]int)
 	for k, rounds := range modules {
 		persistedRound := -1
 		for i := len(rounds) - 1; i >= 0; i-- {
@@ -385,57 +381,14 @@ func (a *Agent) Recover(snapshotSurvives func(module string) bool) (map[string]R
 		if persistedRound < 0 {
 			continue // never made it to a complete checkpoint
 		}
-		reads = append(reads, storeRead{module: k, round: persistedRound})
+		reads[k] = persistedRound
 	}
-
-	workers := a.store.ReadConcurrency()
-	if workers > len(reads) {
-		workers = len(reads)
+	blobs, err := a.store.ReadModulesAt(reads)
+	if err != nil {
+		return nil, fmt.Errorf("core: recover: %w", err)
 	}
-	if workers <= 1 {
-		for _, r := range reads {
-			blob, err := a.store.ReadModule(r.round, r.module)
-			if err != nil {
-				return nil, fmt.Errorf("core: recover %s@%d: %w", r.module, r.round, err)
-			}
-			out[r.module] = RecoveredModule{Blob: blob, Round: r.round}
-		}
-		return out, nil
-	}
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		failed atomic.Bool
-		outMu  sync.Mutex
-	)
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reads) || failed.Load() {
-					return
-				}
-				r := reads[i]
-				blob, err := a.store.ReadModule(r.round, r.module)
-				if err != nil {
-					errs[w] = fmt.Errorf("core: recover %s@%d: %w", r.module, r.round, err)
-					failed.Store(true)
-					return
-				}
-				outMu.Lock()
-				out[r.module] = RecoveredModule{Blob: blob, Round: r.round}
-				outMu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	for k, round := range reads {
+		out[k] = RecoveredModule{Blob: blobs[k], Round: round}
 	}
 	return out, nil
 }

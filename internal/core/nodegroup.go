@@ -30,7 +30,7 @@ func NewNodeGroup(nodes int, persist storage.PersistStore, buffers int, nodeOf f
 
 // NewNodeGroupWithOptions is NewNodeGroup with explicit checkpoint-store
 // tuning (chunk size, chunking mode, persist-pipeline widths —
-// Workers/HashWorkers — and recovery fan-out — ReadWorkers) applied to
+// Workers/HashWorkers — and read budget — ReadWorkers) applied to
 // every node's agent. An explicit Writer id becomes a per-node prefix
 // ("<writer>-n0", "<writer>-n1", …): the nodes share one backend, so
 // their manifests must never collide on (round, writer).

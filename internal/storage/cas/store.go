@@ -45,14 +45,15 @@ type Options struct {
 	// hides hash time behind put latency; higher values add hashing
 	// parallelism on multi-core hosts.
 	HashWorkers int
-	// ReadWorkers bounds the concurrent chunk fetches of one ReadModule
-	// or ReadRound call (default 4). Fetch workers verify chunks against
-	// their addresses as they arrive, so verification overlaps backend
-	// latency too. 1 reads sequentially. Note this is a per-call bound:
-	// a caller overlapping several reads (core.Agent.Recover fans out
-	// module reads to this same width) multiplies it, up to
-	// ReadWorkers² concurrent backend Gets — size it to the backend's
-	// connection budget accordingly.
+	// ReadWorkers is the store's read budget: the most backend chunk
+	// fetches in flight at once across every concurrent ReadModule,
+	// ReadModules, ReadModulesAt and ReadRound call on the store
+	// (default 16). Each call fans its chunks out to up to this many
+	// fetch workers, and every worker holds a slot of the store-wide
+	// budget for the duration of each backend Get, so concurrent reads
+	// share the budget rather than multiply it. Fetch workers verify
+	// chunks against their addresses as they arrive, so verification
+	// overlaps backend latency too. 1 reads sequentially.
 	ReadWorkers int
 	// Writer distinguishes manifests from different agents sharing one
 	// backend. Defaults to an id unique across processes (sequence number
@@ -88,9 +89,11 @@ const DefaultChunkSize = 64 << 10
 // is 0.
 const DefaultWorkers = 4
 
-// DefaultReadWorkers is the recovery fetch fan-out used when
-// Options.ReadWorkers is 0.
-const DefaultReadWorkers = 4
+// DefaultReadWorkers is the read budget used when Options.ReadWorkers
+// is 0. It matches the in-flight request capacity of a small remote
+// deployment (4 endpoints admitting 4 requests each), so one recovery
+// can keep every endpoint busy.
+const DefaultReadWorkers = 16
 
 // maxDefaultHashWorkers caps the GOMAXPROCS-derived hashing fan-out:
 // past a handful of cores the pipeline is put- or memory-bound, and a
@@ -245,6 +248,10 @@ type Store struct {
 	// since); it replaces per-chunk backend existence probes entirely.
 	present *presenceIndex
 
+	// readBudget holds one token per backend chunk fetch in flight, across
+	// every concurrent read on the store; its capacity is ReadWorkers.
+	readBudget chan struct{}
+
 	mu sync.Mutex
 	// manifests caches decoded manifests by round, in writer order, for
 	// the rounds this store has seen (at Open or written itself).
@@ -271,11 +278,12 @@ func Open(backend storage.PersistStore, opts Options) (*Store, error) {
 		defer opts.Guard.RUnlock()
 	}
 	s := &Store{
-		backend:   backend,
-		opts:      opts,
-		present:   newPresenceIndex(),
-		manifests: make(map[int][]*Manifest),
-		memo:      make(map[string]*moduleMemo),
+		backend:    backend,
+		opts:       opts,
+		present:    newPresenceIndex(),
+		readBudget: make(chan struct{}, opts.ReadWorkers),
+		manifests:  make(map[int][]*Manifest),
+		memo:       make(map[string]*moduleMemo),
 	}
 	if opts.Shared != nil {
 		s.present = opts.Shared.idx
@@ -366,7 +374,7 @@ func loadManifests(backend storage.PersistStore) ([]*Manifest, error) {
 		return nil, fmt.Errorf("cas: scan manifests: %w", err)
 	}
 	out := make([]*Manifest, len(keys))
-	err = forEach(len(keys), DefaultReadWorkers, func(i int) error {
+	err = storage.ForEach(len(keys), DefaultReadWorkers, func(i int) error {
 		k := keys[i]
 		round, writer, ok := parseManifestKey(k)
 		if !ok {
@@ -392,62 +400,11 @@ func loadManifests(backend storage.PersistStore) ([]*Manifest, error) {
 	return out, nil
 }
 
-// forEach runs fn for every index in [0, n) on up to workers
-// goroutines, handing indices out in ascending order. After the first
-// failure no new index starts; calls already running finish. It returns
-// the error of the lowest failing index — every lower index was started
-// before it and has completed, so that is the error a sequential loop
-// would have returned.
-func forEach(n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if errs[i] = fn(i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Writer returns the id stamped on manifests this store writes.
 func (s *Store) Writer() string { return s.opts.Writer }
 
 // Chunking returns the chunker this store writes new rounds with.
 func (s *Store) Chunking() Chunking { return s.opts.Chunking }
-
-// ReadConcurrency returns the configured recovery fetch fan-out —
-// callers layering their own recovery parallelism (the checkpoint
-// agent) size against it.
-func (s *Store) ReadConcurrency() int { return s.opts.ReadWorkers }
 
 // Rounds returns the committed rounds this store knows of, ascending.
 func (s *Store) Rounds() []int {
@@ -820,11 +777,19 @@ var ErrModuleNotFound = errors.New("cas: module not persisted in round")
 // chunks costs more than it overlaps.
 const minParallelFetchTasks = 8
 
-// fetchTask locates one chunk of a recovery read: which module it
-// belongs to, its index and byte offset there, and the output buffer it
-// reassembles into.
+// readEntry is one module of a read plan: the manifest entry to
+// reassemble and the round that committed it.
+type readEntry struct {
+	round int
+	entry *ModuleEntry
+}
+
+// fetchTask locates one chunk of a read plan: which module and round
+// it belongs to, its index and byte offset there, and the output
+// buffer it reassembles into.
 type fetchTask struct {
 	module string
+	round  int
 	idx    int
 	off    int64
 	ref    ChunkRef
@@ -833,135 +798,132 @@ type fetchTask struct {
 
 // ReadModule reassembles one module's payload from a round, verifying
 // every chunk against its address and the total against the manifest.
-// Chunk fetches fan out across Options.ReadWorkers, with verification
-// running on the fetch workers so it overlaps backend latency.
+// Chunk fetches fan out across the store's read budget, with
+// verification running on the fetch workers so it overlaps backend
+// latency.
 func (s *Store) ReadModule(round int, module string) ([]byte, error) {
 	sp := obs.Start("cas", "ReadModule").AttrInt("round", int64(round)).Attr("module", module)
-	defer func() {
-		if d := sp.End(); d > 0 {
-			obsRestoreRead.Observe(obs.Seconds(d))
-		}
-	}()
-	s.mu.Lock()
-	var entry *ModuleEntry
-	for _, m := range s.manifests[round] {
-		if e := m.Lookup(module); e != nil {
-			entry = e
-		}
-	}
-	s.mu.Unlock()
-	if entry == nil {
-		return nil, fmt.Errorf("%w: %s@%06d", ErrModuleNotFound, module, round)
-	}
-	out, err := s.entryTasks(sp, round, []*ModuleEntry{entry})
+	defer endRead(sp)
+	out, err := s.readAt(sp, map[string]int{module: round})
 	if err != nil {
 		return nil, err
 	}
 	return out[module], nil
 }
 
-// ReadModules reassembles only the named modules from a round, sharing
-// one bounded ReadWorkers fan-out across all of them — the partial
-// restore of the PEC read path: the requested experts' chunks are
-// fetched, nothing else. Writer precedence matches ReadModule (when
+// ReadModules reassembles only the named modules from a round — the
+// partial restore of the PEC read path: the requested experts' chunks
+// are fetched, nothing else. Writer precedence matches ReadModule (when
 // several writers persisted one name, writer order decides). A
 // requested module absent from the round fails with ErrModuleNotFound;
 // duplicate names are read once.
 func (s *Store) ReadModules(round int, modules []string) (map[string][]byte, error) {
 	sp := obs.Start("cas", "ReadModules").AttrInt("round", int64(round)).AttrInt("modules", int64(len(modules)))
-	defer func() {
-		if d := sp.End(); d > 0 {
-			obsRestoreRead.Observe(obs.Seconds(d))
-		}
-	}()
-	want := make(map[string]bool, len(modules))
+	defer endRead(sp)
+	reads := make(map[string]int, len(modules))
 	for _, m := range modules {
-		want[m] = true
+		reads[m] = round
 	}
+	return s.readAt(sp, reads)
+}
+
+// ReadModulesAt reassembles each module of reads from its own round
+// (module → round) — a PEC recovery, where every expert's newest copy
+// sits in a different round, in one call. Every entry is resolved
+// under one lock with ReadModule's writer precedence, and all modules'
+// chunks share one fetch fan-out. A module absent from its round fails
+// with ErrModuleNotFound.
+func (s *Store) ReadModulesAt(reads map[string]int) (map[string][]byte, error) {
+	sp := obs.Start("cas", "ReadModulesAt").AttrInt("modules", int64(len(reads)))
+	defer endRead(sp)
+	return s.readAt(sp, reads)
+}
+
+// endRead ends a read's span, recording its latency when tracing is on.
+func endRead(sp *obs.Span) {
+	if d := sp.End(); d > 0 {
+		obsRestoreRead.Observe(obs.Seconds(d))
+	}
+}
+
+// readAt resolves reads into a plan in module-name order and runs it.
+func (s *Store) readAt(sp *obs.Span, reads map[string]int) (map[string][]byte, error) {
+	names := make([]string, 0, len(reads))
+	for name := range reads {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	plan := make([]readEntry, 0, len(names))
 	s.mu.Lock()
-	entryOf := make(map[string]*ModuleEntry, len(want))
-	order := make([]string, 0, len(want))
-	for _, m := range s.manifests[round] {
-		for i := range m.Modules {
-			e := &m.Modules[i]
-			if !want[e.Module] {
-				continue
+	for _, name := range names {
+		round := reads[name]
+		var entry *ModuleEntry
+		for _, m := range s.manifests[round] {
+			if e := m.Lookup(name); e != nil {
+				entry = e
 			}
-			if _, seen := entryOf[e.Module]; !seen {
-				order = append(order, e.Module)
-			}
-			entryOf[e.Module] = e
 		}
+		if entry == nil {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("%w: %s@%06d", ErrModuleNotFound, name, round)
+		}
+		plan = append(plan, readEntry{round: round, entry: entry})
 	}
 	s.mu.Unlock()
-	for _, m := range modules {
-		if entryOf[m] == nil {
-			return nil, fmt.Errorf("%w: %s@%06d", ErrModuleNotFound, m, round)
-		}
-	}
-	entries := make([]*ModuleEntry, 0, len(order))
-	for _, name := range order {
-		entries = append(entries, entryOf[name])
-	}
-	return s.entryTasks(sp, round, entries)
+	return s.entryTasks(sp, plan)
 }
 
 // ReadRound reassembles every module committed for a round, across all
 // writers (when several writers persisted the same module, writer order
-// decides, matching ReadModule). All modules' chunk fetches share one
-// bounded ReadWorkers fan-out, so recovery of many small modules
-// parallelizes as well as recovery of one large one.
+// decides, matching ReadModule). All modules' chunks share one fetch
+// fan-out, so recovery of many small modules parallelizes as well as
+// recovery of one large one.
 func (s *Store) ReadRound(round int) (map[string][]byte, error) {
 	sp := obs.Start("cas", "ReadRound").AttrInt("round", int64(round))
-	defer func() {
-		if d := sp.End(); d > 0 {
-			obsRestoreRead.Observe(obs.Seconds(d))
-		}
-	}()
+	defer endRead(sp)
 	s.mu.Lock()
-	entryOf := make(map[string]*ModuleEntry)
-	order := make([]string, 0, 8)
+	manifests := len(s.manifests[round])
+	var plan []readEntry
+	at := make(map[string]int)
 	for _, m := range s.manifests[round] {
 		for i := range m.Modules {
 			e := &m.Modules[i]
-			if _, seen := entryOf[e.Module]; !seen {
-				order = append(order, e.Module)
+			if j, seen := at[e.Module]; seen {
+				plan[j].entry = e
+				continue
 			}
-			entryOf[e.Module] = e
+			at[e.Module] = len(plan)
+			plan = append(plan, readEntry{round: round, entry: e})
 		}
 	}
 	s.mu.Unlock()
-	if len(entryOf) == 0 {
-		if len(s.ManifestsForRound(round)) == 0 {
-			return nil, fmt.Errorf("cas: no manifests for round %06d", round)
-		}
-		return map[string][]byte{}, nil
+	if manifests == 0 {
+		return nil, fmt.Errorf("cas: no manifests for round %06d", round)
 	}
-	entries := make([]*ModuleEntry, 0, len(entryOf))
-	for _, name := range order {
-		entries = append(entries, entryOf[name])
-	}
-	return s.entryTasks(sp, round, entries)
+	return s.entryTasks(sp, plan)
 }
 
-// entryTasks fetches, verifies, and reassembles the given module
-// entries, fanning chunk gets across the read worker pool. Backends
+// entryTasks fetches, verifies, and reassembles a read plan, fanning
+// chunk gets across up to ReadWorkers fetch workers. Each backend get
+// holds a slot of the store-wide read budget, so concurrent calls
+// together keep at most ReadWorkers fetches in flight. Backends
 // implementing storage.Viewer serve chunk bytes without a defensive
 // copy — verification only reads them, and the single write into the
 // output buffer is the reassembly copy itself.
-func (s *Store) entryTasks(sp *obs.Span, round int, entries []*ModuleEntry) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(entries))
+func (s *Store) entryTasks(sp *obs.Span, plan []readEntry) (map[string][]byte, error) {
+	out := make(map[string][]byte, len(plan))
 	var tasks []fetchTask
-	for _, e := range entries {
+	for _, p := range plan {
+		e := p.entry
 		buf := make([]byte, e.Size)
 		out[e.Module] = buf
 		var off int64
 		for i, c := range e.Chunks {
-			tasks = append(tasks, fetchTask{module: e.Module, idx: i, off: off, ref: c, out: buf})
+			tasks = append(tasks, fetchTask{module: e.Module, round: p.round, idx: i, off: off, ref: c, out: buf})
 			off += int64(c.Size)
 		}
 		if off != e.Size {
-			return nil, fmt.Errorf("cas: %s@%06d: chunks cover %d of %d bytes", e.Module, round, off, e.Size)
+			return nil, fmt.Errorf("cas: %s@%06d: chunks cover %d of %d bytes", e.Module, p.round, off, e.Size)
 		}
 	}
 
@@ -969,21 +931,23 @@ func (s *Store) entryTasks(sp *obs.Span, round int, entries []*ModuleEntry) (map
 	fetch := func(t fetchTask) error {
 		var data []byte
 		var err error
+		s.readBudget <- struct{}{}
 		if viewer != nil {
 			data, err = viewer.GetView(ChunkKey(t.ref.Hash))
 		} else {
 			data, err = s.backend.Get(ChunkKey(t.ref.Hash))
 		}
+		<-s.readBudget
 		if err != nil {
-			return fmt.Errorf("cas: %s@%06d chunk %d: %w", t.module, round, t.idx, err)
+			return fmt.Errorf("cas: %s@%06d chunk %d: %w", t.module, t.round, t.idx, err)
 		}
 		if got := HashBytes(data); got != t.ref.Hash {
 			return fmt.Errorf("cas: %s@%06d chunk %d: content hash %s does not match address %s",
-				t.module, round, t.idx, got, t.ref.Hash)
+				t.module, t.round, t.idx, got, t.ref.Hash)
 		}
 		if uint32(len(data)) != t.ref.Size {
 			return fmt.Errorf("cas: %s@%06d chunk %d: %d bytes, manifest says %d",
-				t.module, round, t.idx, len(data), t.ref.Size)
+				t.module, t.round, t.idx, len(data), t.ref.Size)
 		}
 		copy(t.out[t.off:], data)
 		return nil
@@ -994,8 +958,7 @@ func (s *Store) entryTasks(sp *obs.Span, round int, entries []*ModuleEntry) (map
 		workers = len(tasks)
 	}
 	// Tiny reads go sequential: below a handful of chunks the worker
-	// spawn costs more than the overlap buys, and callers that recover
-	// many small modules (the agent) already parallelize above us.
+	// spawn costs more than the overlap buys.
 	sp.AttrInt("chunks", int64(len(tasks)))
 	if workers <= 1 || len(tasks) < minParallelFetchTasks {
 		fsp := sp.Child("fetch")
@@ -1230,7 +1193,7 @@ func (s *Store) RetainScoped(live func(round int, writer, module string) bool, k
 	// The sweep fans out across the put workers: each delete is an
 	// independent backend round trip.
 	var deleted, freed atomic.Int64
-	err = forEach(len(dead), s.opts.Workers, func(i int) error {
+	err = storage.ForEach(len(dead), s.opts.Workers, func(i int) error {
 		c := dead[i]
 		size, known := sizes[c.hash]
 		if !known {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"moc/internal/obs"
+	"moc/internal/storage"
 	"moc/internal/storage/cas"
 )
 
@@ -298,22 +299,52 @@ func (s *Service) verifySweep() (verified int, corruptKeys []string, err error) 
 	}
 	s.scrubPos = (start + n) % len(keys)
 	s.mu.Unlock()
+	// Parse the window first: a foreign key ends the sweep where a
+	// sequential scan would have stopped, after verifying the keys
+	// before it.
+	window := make([]string, 0, n)
+	want := make([]cas.Hash, 0, n)
+	var foreign error
 	for i := 0; i < n; i++ {
 		k := keys[(start+i)%len(keys)]
-		want, perr := cas.ParseHash(strings.TrimPrefix(k, cas.ChunkPrefix))
+		h, perr := cas.ParseHash(strings.TrimPrefix(k, cas.ChunkPrefix))
 		if perr != nil {
-			return verified, corruptKeys, fmt.Errorf("fleet: foreign key %q under chunk prefix", k)
+			foreign = fmt.Errorf("fleet: foreign key %q under chunk prefix", k)
+			break
 		}
-		blob, gerr := s.backend.Get(k)
-		if gerr != nil {
-			continue // deleted or unreachable mid-sweep; the audit covers loss
+		window = append(window, k)
+		want = append(want, h)
+	}
+	// The reads are independent backend round trips: fan them out and
+	// collect the findings back in sweep order. fn never fails — an
+	// unreadable chunk is skipped, not an error — so ForEach cannot.
+	const (
+		unread = iota // deleted or unreachable mid-sweep; the audit covers loss
+		intact
+		corrupt
+	)
+	state := make([]uint8, len(window))
+	_ = storage.ForEach(len(window), cas.DefaultReadWorkers, func(i int) error {
+		blob, gerr := s.backend.Get(window[i])
+		switch {
+		case gerr != nil:
+		case cas.HashBytes(blob) != want[i]:
+			state[i] = corrupt
+		default:
+			state[i] = intact
+		}
+		return nil
+	})
+	for i, st := range state {
+		if st == unread {
+			continue
 		}
 		verified++
-		if cas.HashBytes(blob) != want {
-			corruptKeys = append(corruptKeys, k)
+		if st == corrupt {
+			corruptKeys = append(corruptKeys, window[i])
 		}
 	}
-	return verified, corruptKeys, nil
+	return verified, corruptKeys, foreign
 }
 
 // StartDaemon runs Scrub on the given interval in a background

@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,5 +213,84 @@ func TestBackgroundDaemonRepairsWithoutManualSync(t *testing.T) {
 		if err != nil {
 			t.Fatalf("backend %d unhealthy after daemon repair: %v", i, err)
 		}
+	}
+}
+
+// unreadableStore lists every key but fails Gets of the ones in gone,
+// like chunks deleted between a scrub's listing and its read.
+type unreadableStore struct {
+	*storage.MemStore
+	gone map[string]bool
+}
+
+func (u *unreadableStore) Get(key string) ([]byte, error) {
+	if u.gone[key] {
+		return nil, storage.ErrNotFound
+	}
+	return u.MemStore.Get(key)
+}
+
+func TestVerifySweepRotationOrderAndForeignKey(t *testing.T) {
+	// The sweep's reads fan out, but what it reports is what a
+	// sequential sweep would: the rotating cursor, the count of chunks
+	// read, the corrupt keys in sweep order, and a foreign key ending
+	// the sweep after the keys before it.
+	backend := &unreadableStore{MemStore: storage.NewMemStore(), gone: map[string]bool{}}
+	svc, err := Open(backend, Config{ScrubChunksPerPass: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for i := 0; i < 30; i++ {
+		b := blob(uint64(i)+100, 64)
+		k := cas.ChunkKey(cas.HashBytes(b))
+		if err := backend.Put(k, b); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, i := range []int{3, 7, 12, 27} {
+		if err := backend.Put(keys[i], blob(uint64(i)+900, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backend.gone[keys[5]] = true
+
+	sweep := func(wantVerified int, wantCorrupt []int, wantPos int) error {
+		t.Helper()
+		verified, corrupt, err := svc.verifySweep()
+		var want []string
+		for _, i := range wantCorrupt {
+			want = append(want, keys[i])
+		}
+		if verified != wantVerified || !slices.Equal(corrupt, want) || svc.scrubPos != wantPos {
+			t.Fatalf("sweep: verified %d corrupt %v pos %d; want %d %v %d",
+				verified, corrupt, svc.scrubPos, wantVerified, want, wantPos)
+		}
+		return err
+	}
+	for _, pass := range []struct {
+		verified int
+		corrupt  []int
+		pos      int
+	}{{9, []int{3, 7}, 10}, {10, []int{12}, 20}} {
+		if err := sweep(pass.verified, pass.corrupt, pass.pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A foreign key sorts last (index 30 of 31): a window starting at 25
+	// verifies 25..29, then stops there with an error.
+	foreign := cas.ChunkPrefix + "zz-foreign"
+	if err := backend.Put(foreign, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	svc.scrubPos = 25
+	if err := sweep(5, []int{27}, 4); err == nil || !strings.Contains(err.Error(), foreign) {
+		t.Fatalf("foreign key error = %v", err)
+	}
+	if err := sweep(9, []int{7, 12}, 14); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -122,10 +122,15 @@ type Model struct {
 	moduleOrder []string
 	// moeLayers[l] is the transformer-layer index of the l-th MoE layer.
 	moeLayers []int
+	// experts maps each expert module name to its (MoE layer, expert).
+	experts map[string]expertID
 
 	step int // Adam time step
 	iter int // training iteration (checkpoint bookkeeping)
 }
+
+// expertID locates one expert: its MoE-layer and expert indices.
+type expertID struct{ moeLayer, expert int }
 
 // New builds and initializes a model.
 func New(cfg Config) (*Model, error) {
@@ -136,7 +141,7 @@ func New(cfg Config) (*Model, error) {
 	h := mc.HiddenSize
 	ff := mc.FFNMult * h
 	r := rng.New(cfg.Seed)
-	m := &Model{cfg: cfg, r: r, modules: make(map[string][]*Param)}
+	m := &Model{cfg: cfg, r: r, modules: make(map[string][]*Param), experts: make(map[string]expertID)}
 	std := 1.0 / math.Sqrt(float64(h))
 
 	reg := func(name string, ps ...*Param) {
@@ -169,9 +174,11 @@ func New(cfg Config) (*Model, error) {
 			b.gate = newParam(fmt.Sprintf("layer%d.moe.gate", i), mc.NumExperts, h, r, std)
 			reg(fmt.Sprintf("layer%d.moe.gate", i), b.gate)
 			for e := 0; e < mc.NumExperts; e++ {
-				exp := newFFN(fmt.Sprintf("layer%d.moe.expert%d", i, e))
+				name := fmt.Sprintf("layer%d.moe.expert%d", i, e)
+				exp := newFFN(name)
 				b.experts = append(b.experts, exp)
-				reg(fmt.Sprintf("layer%d.moe.expert%d", i, e), exp.params()...)
+				reg(name, exp.params()...)
+				m.experts[name] = expertID{moeLayer: moeIdx, expert: e}
 			}
 			moeIdx++
 		} else {
@@ -205,19 +212,11 @@ func (m *Model) ExpertModuleName(moeLayer, expert int) string {
 	return fmt.Sprintf("layer%d.moe.expert%d", m.moeLayers[moeLayer], expert)
 }
 
-// IsExpertModule parses an expert module name, returning its MoE-layer and
-// expert indices.
+// IsExpertModule resolves an expert module name, returning its MoE-layer
+// and expert indices; ok is false for every other module name.
 func (m *Model) IsExpertModule(name string) (moeLayer, expert int, ok bool) {
-	var layer int
-	if n, err := fmt.Sscanf(name, "layer%d.moe.expert%d", &layer, &expert); err != nil || n != 2 {
-		return 0, 0, false
-	}
-	for l, tl := range m.moeLayers {
-		if tl == layer {
-			return l, expert, true
-		}
-	}
-	return 0, 0, false
+	id, ok := m.experts[name]
+	return id.moeLayer, id.expert, ok
 }
 
 // NumParams returns the total trainable parameter count.

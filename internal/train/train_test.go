@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"moc/internal/core"
@@ -80,6 +81,29 @@ func TestModuleInventoryMatchesModel(t *testing.T) {
 	}
 	if _, _, ok := m.IsExpertModule("layer0.atten"); ok {
 		t.Fatal("non-expert module parsed as expert")
+	}
+	// Every module: experts round-trip through ExpertModuleName, and
+	// nothing else resolves as an expert.
+	experts := 0
+	for _, name := range m.ModuleNames() {
+		l, e, ok := m.IsExpertModule(name)
+		if !strings.Contains(name, ".moe.expert") {
+			if ok {
+				t.Errorf("non-expert module %q resolved as expert (%d,%d)", name, l, e)
+			}
+			continue
+		}
+		if !ok {
+			t.Errorf("expert module %q not resolved", name)
+			continue
+		}
+		if back := m.ExpertModuleName(l, e); back != name {
+			t.Errorf("expert %q -> (%d,%d) -> %q", name, l, e, back)
+		}
+		experts++
+	}
+	if want := m.NumMoELayers() * cfg.Model.NumExperts; experts != want {
+		t.Fatalf("resolved %d expert modules, want %d", experts, want)
 	}
 }
 

@@ -250,8 +250,8 @@ type StoreTuning struct {
 	ChunkSize int
 	Chunking  Chunking
 	// Workers is the striped put fan-out, HashWorkers the hashing
-	// fan-out of the persist pipeline, ReadWorkers the recovery fetch
-	// fan-out.
+	// fan-out of the persist pipeline, ReadWorkers the store-wide read
+	// budget (chunk fetches in flight).
 	Workers     int
 	HashWorkers int
 	ReadWorkers int

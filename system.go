@@ -236,10 +236,10 @@ type Config struct {
 	// (0 = GOMAXPROCS, capped at 8). Hashing, dedup filtering, and
 	// backend puts run as overlapped stages.
 	HashWorkers int
-	// RecoverWorkers bounds the concurrent chunk fetches of one
-	// recovery read (0 = the store default, 4). Recovery overlaps
-	// module reads to the same width, so peak backend concurrency
-	// during a full recovery approaches RecoverWorkers².
+	// RecoverWorkers is the checkpoint store's read budget: the most
+	// chunk fetches in flight at once across every concurrent recovery
+	// read on the store (0 = the store default, 16). A recovery reads
+	// all its modules as one plan, so it can fill the whole budget.
 	RecoverWorkers int
 
 	// --- observability ---
